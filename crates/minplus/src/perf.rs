@@ -29,7 +29,11 @@ pub struct KernelCounters {
     /// and FW `d[i][k] = ∞` skips).
     pub inf_row_skips: Arc<Counter>,
     /// Approximate bytes touched by the kernels: 8 bytes per operand
-    /// scan entry plus 16 per relaxation (read + read-modify-write).
+    /// scan entry plus 16 per relaxation (read + read-modify-write). This
+    /// is a model with no cache reuse: the panelled FW and the row-kernel
+    /// GEMM stream far less from memory than it books. It is kept as is so
+    /// that the counter repeats exactly across kernel rewrites; a
+    /// tiling-aware model would be a change of its own.
     pub bytes_touched: Arc<Counter>,
     /// Block-level updates performed by `blocked_fw`.
     pub block_updates: Arc<Counter>,

@@ -636,6 +636,27 @@ fn solve_metrics_summary_and_export() {
     }
 }
 
+/// A bench baseline whose compare verdict is fixed: every case an hour
+/// slower than measured in `json`, so no host noise can make a run against
+/// it a regression. The wall-clock gate itself is the perf-smoke CI job.
+fn hour_slower_baseline(json: &str) -> String {
+    const HOUR_NS: u64 = 3_600_000_000_000;
+    let mut inflated = 0;
+    let lines: Vec<String> = json
+        .lines()
+        .map(|line| match line.trim_start().strip_prefix("\"wall_ns\": ") {
+            Some(value) => {
+                inflated += 1;
+                let ns: u64 = value.trim_end_matches(',').parse().unwrap();
+                line.replace(value, &format!("{},", ns + HOUR_NS))
+            }
+            None => line.to_string(),
+        })
+        .collect();
+    assert!(inflated > 0, "no wall_ns field to inflate:\n{json}");
+    lines.join("\n")
+}
+
 #[test]
 fn bench_quick_writes_schema_versioned_json_and_compares() {
     let out_path = tmp("BENCH_test.json");
@@ -652,12 +673,14 @@ fn bench_quick_writes_schema_versioned_json_and_compares() {
         assert!(text.contains(key), "missing {key}");
     }
 
-    // self-compare passes (the two runs share deterministic counters)
+    // the compare plumbing passes against a baseline it cannot regress from
+    let slow_path = tmp("BENCH_slow.json");
+    std::fs::write(&slow_path, hour_slower_baseline(&text)).unwrap();
     let out = apsp()
         .args(["bench", "--iters", "1", "--label", "test2", "--out"])
         .arg(tmp("BENCH_test2.json"))
         .arg("--compare")
-        .arg(&out_path)
+        .arg(&slow_path)
         .output()
         .unwrap();
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
