@@ -203,17 +203,23 @@ impl SupernodalLayout {
     }
 
     /// Un-permutes a dense matrix from the eliminated ordering back to the
-    /// input graph's vertex ids.
+    /// input graph's vertex ids. A pure gather, one band of output rows per
+    /// `apsp_par` worker.
     pub fn unpermute(dist: &apsp_graph::DenseDist, perm: &Permutation) -> apsp_graph::DenseDist {
         let n = dist.n();
         assert_eq!(perm.len(), n);
-        let mut out = apsp_graph::DenseDist::unconnected(n);
-        for old_i in 0..n {
-            for old_j in 0..n {
-                out.set(old_i, old_j, dist.get(perm.to_new(old_i), perm.to_new(old_j)));
+        let to_new: Vec<usize> = (0..n).map(|old| perm.to_new(old)).collect();
+        let mut data = vec![0.0; n * n];
+        let band = (n.div_ceil(apsp_par::num_threads()) * n).max(1);
+        apsp_par::par_chunks_mut(&mut data, band, |start, rows| {
+            for (k, out_row) in rows.chunks_exact_mut(n).enumerate() {
+                let src = dist.row(to_new[start / n + k]);
+                for (x, &j) in out_row.iter_mut().zip(&to_new) {
+                    *x = src[j];
+                }
             }
-        }
-        out
+        });
+        apsp_graph::DenseDist::from_raw(n, data)
     }
 }
 
@@ -317,6 +323,33 @@ mod tests {
         let restored = SupernodalLayout::unpermute(&dense, &nd.perm);
         for (u, v, w) in g.edges() {
             assert_eq!(restored.get(u, v), w, "edge ({u},{v})");
+        }
+    }
+
+    #[test]
+    fn unpermute_is_the_serial_gather_bit_for_bit() {
+        use rand::seq::SliceRandom;
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        for n in [0, 1, 2, 17, 61] {
+            let data = (0..n * n)
+                .map(|k| match k % 5 {
+                    0 => -0.0,
+                    1 => apsp_graph::INF,
+                    _ => k as f64 / 3.0,
+                })
+                .collect();
+            let dist = apsp_graph::DenseDist::from_raw(n, data);
+            let mut order: Vec<usize> = (0..n).collect();
+            order.shuffle(&mut rng);
+            let perm = Permutation::from_to_new(order);
+            let got = SupernodalLayout::unpermute(&dist, &perm);
+            for i in 0..n {
+                for j in 0..n {
+                    let want = dist.get(perm.to_new(i), perm.to_new(j));
+                    assert_eq!(got.get(i, j).to_bits(), want.to_bits(), "n = {n}, ({i},{j})");
+                }
+            }
         }
     }
 

@@ -1,5 +1,6 @@
 //! Text I/O: a simple edge-list format, MatrixMarket coordinate format,
-//! and the 9th-DIMACS-challenge shortest-path format.
+//! and the 9th-DIMACS-challenge shortest-path format for graphs, and a
+//! tab-separated text format for distance matrices ([`write_distances`]).
 //!
 //! Edge-list format (`.el`):
 //! ```text
@@ -17,6 +18,7 @@
 
 use crate::builder::GraphBuilder;
 use crate::csr::Csr;
+use crate::dense::DenseDist;
 use std::fmt::Write as _;
 
 /// Splits a line into whitespace-separated fields, pairing each with its
@@ -336,6 +338,63 @@ pub fn from_dimacs(text: &str) -> Result<Csr, String> {
     builder.map(|b| b.build()).ok_or_else(|| "missing problem line".into())
 }
 
+/// Rows per formatting task of [`write_distances`].
+const ROW_BLOCK: usize = 16;
+
+/// Blocks each worker formats per window of [`write_distances`].
+const BLOCKS_PER_WORKER: usize = 4;
+
+/// Writes a distance matrix as text: one line per row, entries joined by
+/// `\t`, `inf` for unreachable pairs and Rust's shortest round-trip
+/// decimal (`{}`) for everything else.
+///
+/// Blocks of `ROW_BLOCK` rows are formatted by `apsp_par` workers and
+/// written in row order, a window of `BLOCKS_PER_WORKER` blocks per worker
+/// at a time, so the text held in memory is O(window · n), never the whole
+/// matrix. The bytes do not depend on the thread count. Flushes `w` before
+/// returning, so a buffered writer's error surfaces here.
+pub fn write_distances(w: impl std::io::Write, dist: &DenseDist) -> std::io::Result<()> {
+    write_distances_in_windows(w, dist, apsp_par::num_threads() * BLOCKS_PER_WORKER)
+}
+
+/// [`write_distances`] with a window of `window` row blocks.
+fn write_distances_in_windows(
+    mut w: impl std::io::Write,
+    dist: &DenseDist,
+    window: usize,
+) -> std::io::Result<()> {
+    let n = dist.n();
+    let blocks: Vec<usize> = (0..n.div_ceil(ROW_BLOCK)).collect();
+    for window in blocks.chunks(window) {
+        let texts = apsp_par::par_map(window, |&b| {
+            format_rows(dist, b * ROW_BLOCK..((b + 1) * ROW_BLOCK).min(n))
+        });
+        for text in &texts {
+            w.write_all(text.as_bytes())?;
+        }
+    }
+    w.flush()
+}
+
+/// Formats rows `rows` of `dist` as [`write_distances`] lays them out.
+fn format_rows(dist: &DenseDist, rows: std::ops::Range<usize>) -> String {
+    let mut s = String::new();
+    for i in rows {
+        for (j, d) in dist.row(i).iter().enumerate() {
+            if j > 0 {
+                s.push('\t');
+            }
+            if d.is_infinite() {
+                s.push_str("inf");
+            } else {
+                let _ = write!(s, "{d}");
+            }
+        }
+        s.push('\n');
+    }
+    s
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -520,5 +579,110 @@ mod tests {
         .unwrap();
         assert_eq!(g.m(), 1);
         assert_eq!(g.edge_weight(0, 1), Some(3.0));
+    }
+
+    /// The serial writer `write_distances` replaced: the byte-for-byte
+    /// reference.
+    fn distances_tsv(dist: &DenseDist) -> String {
+        let mut s = String::new();
+        for i in 0..dist.n() {
+            for j in 0..dist.n() {
+                if j > 0 {
+                    s.push('\t');
+                }
+                let d = dist.get(i, j);
+                if d.is_infinite() {
+                    s.push_str("inf");
+                } else {
+                    let _ = write!(s, "{d}");
+                }
+            }
+            s.push('\n');
+        }
+        s
+    }
+
+    /// Every awkward value first, then random weights, cycled over `n × n`.
+    fn awkward_matrix(n: usize, seed: u64) -> DenseDist {
+        use rand::{Rng, SeedableRng};
+        let special = [
+            crate::INF,
+            f64::NEG_INFINITY,
+            0.0,
+            -0.0,
+            5e-324,
+            1e-7,
+            1e16,
+            1e21,
+            f64::MAX,
+            f64::NAN,
+            0.1 + 0.2,
+        ];
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let data = (0..n * n)
+            .map(|k| match special.get(k % (2 * special.len())) {
+                Some(&v) => v,
+                None => rng.random_range(0.0..1000.0),
+            })
+            .collect();
+        DenseDist::from_raw(n, data)
+    }
+
+    #[test]
+    fn distances_are_byte_identical_to_the_serial_writer() {
+        // up to 7 blocks through windows of 1..=3 blocks: full and ragged
+        // windows, ragged last blocks
+        for n in [0, 1, 2, ROW_BLOCK, ROW_BLOCK + 1, 6 * ROW_BLOCK + 3] {
+            let dist = awkward_matrix(n, n as u64);
+            let want = distances_tsv(&dist).into_bytes();
+            let mut out = Vec::new();
+            write_distances(&mut out, &dist).unwrap();
+            assert_eq!(out, want, "n = {n}");
+            for window in 1..=3 {
+                let mut out = Vec::new();
+                write_distances_in_windows(&mut out, &dist, window).unwrap();
+                assert_eq!(out, want, "n = {n}, window = {window}");
+            }
+        }
+    }
+
+    /// Accepts `budget` bytes, then fails every write; flush fails when
+    /// `flush_fails`.
+    struct FailingWriter {
+        budget: usize,
+        flush_fails: bool,
+    }
+
+    impl std::io::Write for FailingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            if self.budget == 0 {
+                return Err(std::io::Error::other("disk full"));
+            }
+            let k = buf.len().min(self.budget);
+            self.budget -= k;
+            Ok(k)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            if self.flush_fails {
+                return Err(std::io::Error::other("flush refused"));
+            }
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn failing_writes_return_the_io_error() {
+        let dist = awkward_matrix(3 * ROW_BLOCK, 11);
+        for budget in [0, 1, 100, 5000] {
+            let w = FailingWriter { budget, flush_fails: false };
+            let err = write_distances_in_windows(w, &dist, 1).unwrap_err();
+            assert_eq!(err.to_string(), "disk full", "budget = {budget}");
+        }
+        let w = FailingWriter { budget: usize::MAX, flush_fails: true };
+        let err = write_distances(w, &dist).unwrap_err();
+        assert_eq!(err.to_string(), "flush refused");
+        let w = FailingWriter { budget: 0, flush_fails: false };
+        write_distances(w, &DenseDist::from_raw(0, Vec::new())).unwrap();
     }
 }

@@ -199,25 +199,6 @@ fn breakdown_table(bd: &sparse_apsp::simnet::PhaseBreakdown) -> String {
     s
 }
 
-fn distances_tsv(dist: &DenseDist) -> String {
-    let mut s = String::new();
-    for i in 0..dist.n() {
-        for j in 0..dist.n() {
-            if j > 0 {
-                s.push('\t');
-            }
-            let d = dist.get(i, j);
-            if d.is_infinite() {
-                s.push_str("inf");
-            } else {
-                let _ = write!(s, "{d}");
-            }
-        }
-        s.push('\n');
-    }
-    s
-}
-
 fn cmd_generate(args: &Args) {
     let kind = args.get("--kind");
     let seed: u64 = args.num("--seed", 0);
@@ -554,7 +535,9 @@ fn cmd_solve(args: &Args) {
         }
     }
     if let Some(path) = args.opt("--distances") {
-        std::fs::write(path, distances_tsv(&dist))
+        let write = |f| sparse_apsp::graph::io::write_distances(std::io::BufWriter::new(f), &dist);
+        std::fs::File::create(path)
+            .and_then(write)
             .unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
         eprintln!("distances written to {path}");
     }

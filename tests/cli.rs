@@ -638,7 +638,8 @@ fn solve_metrics_summary_and_export() {
 
 /// A bench baseline whose compare verdict is fixed: every case an hour
 /// slower than measured in `json`, so no host noise can make a run against
-/// it a regression. The wall-clock gate itself is the perf-smoke CI job.
+/// it a regression. The wall-clock gates themselves are the perf-smoke
+/// (simulator) and backend-matrix (native) CI jobs.
 fn hour_slower_baseline(json: &str) -> String {
     const HOUR_NS: u64 = 3_600_000_000_000;
     let mut inflated = 0;
@@ -964,13 +965,15 @@ fn bench_native_backend_writes_and_compares() {
     assert!(text.contains("\"critical_latency\": 0"), "{text}");
     assert!(text.contains("gemm_ops"), "{text}");
 
-    // self-compare under the default tolerance passes
+    // the compare plumbing passes against a baseline it cannot regress from
+    let slow_path = tmp("BENCH_native_slow.json");
+    std::fs::write(&slow_path, hour_slower_baseline(&text)).unwrap();
     let out = apsp()
         .args(["bench", "--backend", "native", "--quick", "--iters", "1"])
         .args(["--label", "native-test2", "--out"])
         .arg(tmp("BENCH_native_test2.json"))
         .arg("--compare")
-        .arg(&out_path)
+        .arg(&slow_path)
         .output()
         .unwrap();
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
